@@ -3,34 +3,10 @@
 #include <algorithm>
 #include <chrono>
 
-#include "query/normalize.h"
+#include "cluster/query_coordinator.h"
 #include "query/parser.h"
 
 namespace esdb {
-
-namespace {
-
-// Shared with cluster/esdb.cc in spirit: finds the tenant equality
-// that scopes the query to a shard run.
-bool ExtractTenantId(const Expr& e, TenantId* out) {
-  if (e.kind == Expr::Kind::kPred) {
-    const Predicate& p = e.pred;
-    if (p.column == kFieldTenantId && p.op == PredOp::kEq &&
-        p.args.size() == 1 && p.args[0].is_int()) {
-      *out = p.args[0].as_int();
-      return true;
-    }
-    return false;
-  }
-  if (e.kind == Expr::Kind::kAnd) {
-    for (const auto& c : e.children) {
-      if (ExtractTenantId(*c, out)) return true;
-    }
-  }
-  return false;
-}
-
-}  // namespace
 
 DistributedEsdb::DistributedEsdb(Options options)
     : options_(std::move(options)),
@@ -222,36 +198,20 @@ void DistributedEsdb::RefreshAll() {
 Result<QueryResult> DistributedEsdb::ExecuteSql(std::string_view sql) {
   ESDB_RETURN_IF_ERROR(CheckReady());
   ESDB_ASSIGN_OR_RETURN(Query query, ParseSql(sql));
-
-  std::vector<ShardId> targets;
-  TenantId tenant = 0;
-  if (query.where != nullptr && ExtractTenantId(*query.where, &tenant)) {
-    targets = routing_->RouteRead(tenant);
-  } else {
-    targets.resize(options_.num_shards);
-    for (uint32_t i = 0; i < options_.num_shards; ++i) targets[i] = i;
-  }
-
-  std::unique_ptr<Expr> normalized;
-  if (query.where != nullptr) {
-    normalized = NormalizeForPlanning(query.where->Clone());
-  }
-  const std::unique_ptr<PlanNode> plan =
-      PlanWhere(normalized.get(), options_.spec, options_.planner);
-
+  // Rule-based plans only: see the ExecuteSql comment in the header.
+  PlannerOptions planner = options_.planner;
+  planner.use_cost_model = false;
+  CoordinatorInputs inputs;
+  inputs.spec = &options_.spec;
+  inputs.planner = &planner;
+  // The ShardAt copy pins the shard across a concurrent cutover or
+  // failover swap only while its snapshot is taken; the snapshot then
+  // owns the segment epoch for the rest of the query, fetch included.
+  inputs.snapshot = [this](ShardId shard) {
+    return ShardAt(shard)->primary()->Snapshot();
+  };
   ExecStats stats;
-  std::vector<QueryResult> shard_results;
-  shard_results.reserve(targets.size());
-  for (ShardId shard : targets) {
-    // The shared_ptr copy pins the shard across a concurrent cutover
-    // swap; its snapshot pins the segment epoch as usual.
-    const std::shared_ptr<ReplicatedShard> s = ShardAt(shard);
-    ESDB_ASSIGN_OR_RETURN(
-        QueryResult r,
-        ExecuteOnShard(query, *plan, *s->primary()->Snapshot(), &stats));
-    shard_results.push_back(std::move(r));
-  }
-  return AggregateResults(query, std::move(shard_results));
+  return CoordinateQuery(query, RouteQuery(query, *routing_), inputs, &stats);
 }
 
 Status DistributedEsdb::StartMigration(ShardId shard, NodeId to) {

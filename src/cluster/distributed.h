@@ -25,10 +25,11 @@ namespace esdb {
 // process. Shards (each a primary + physical replica pair) are placed
 // on named nodes by the shard allocator; writes route through the
 // configured policy to the shard's primary; queries fan out per the
-// routing policy and aggregate. Nodes can join, leave gracefully, or
-// fail — on failure, replicas of the dead node's primaries promote
-// (translog-tail replay) and lost replicas are rebuilt on surviving
-// nodes, exactly the recovery story of Sections 3.3 and 5.2.
+// routing policy through the shared query coordinator. Nodes can
+// join, leave gracefully, or fail — on failure, replicas of the dead
+// node's primaries promote (translog-tail replay) and lost replicas
+// are rebuilt on surviving nodes, exactly the recovery story of
+// Sections 3.3 and 5.2.
 //
 // Membership operations (Add/Remove/FailNode) are externally
 // single-threaded ("nodes" are failure domains, not threads), but the
@@ -92,6 +93,23 @@ class DistributedEsdb : public MigrationHost {
   void SetMaintenanceThreads(uint32_t n);
   uint32_t maintenance_threads() const { return options_.maintenance_threads; }
 
+  // Runs a SELECT through the shared query coordinator
+  // (cluster/query_coordinator.h): route, normalize, plan, pin every
+  // target primary's snapshot up front, then fan out serially. Row
+  // queries run two-phase (row refs + sort keys, global sort and
+  // OFFSET/LIMIT trim, fetch of the winners only) against the pinned
+  // snapshots, so a fetch never crosses a migration cutover or
+  // failover; aggregates and GROUP BY run single-phase. Answers are
+  // byte-identical — total_matched and its exact flag included — to
+  // per-shard ExecuteOnShard + AggregateResults over the same
+  // snapshots. Three Esdb features stay off here:
+  //   - the cost pass: index-topk makes total_matched a lower bound,
+  //     and the cluster's answers keep exact counts;
+  //   - the filter cache: segment ids are shard-local and restart in a
+  //     migrated or failed-over store, so entries keyed on the shard
+  //     id would turn into stale hits;
+  //   - a query pool: the fan-out runs in the calling thread.
+  // Options::planner's use_cost_model is therefore overridden to false.
   [[nodiscard]] Result<QueryResult> ExecuteSql(std::string_view sql);
 
   // --- Live shard migration ---------------------------------------------

@@ -1,9 +1,6 @@
 #include "cluster/esdb.h"
 
-#include <algorithm>
-#include <functional>
-#include <future>
-
+#include "cluster/query_coordinator.h"
 #include "query/cost.h"
 #include "query/dsl.h"
 #include "query/normalize.h"
@@ -11,31 +8,6 @@
 #include "storage/block_cache.h"
 
 namespace esdb {
-
-namespace {
-
-// Finds a top-level tenant_id equality (possibly nested under ANDs):
-// the common shape of seller-facing queries. Returns false when the
-// query is not tenant-scoped.
-bool ExtractTenant(const Expr& e, TenantId* out) {
-  if (e.kind == Expr::Kind::kPred) {
-    const Predicate& p = e.pred;
-    if (p.column == kFieldTenantId && p.op == PredOp::kEq &&
-        p.args.size() == 1 && p.args[0].is_int()) {
-      *out = p.args[0].as_int();
-      return true;
-    }
-    return false;
-  }
-  if (e.kind == Expr::Kind::kAnd) {
-    for (const auto& c : e.children) {
-      if (ExtractTenant(*c, out)) return true;
-    }
-  }
-  return false;
-}
-
-}  // namespace
 
 Esdb::Esdb(Options options)
     : options_(std::move(options)),
@@ -201,17 +173,14 @@ Result<std::string> Esdb::ExplainSql(std::string_view sql) {
     out += "es-dsl:     " + *dsl + "\n";
   }
 
+  const std::vector<ShardId> target_shards = RouteQuery(query, *routing_);
   TenantId tenant = 0;
-  std::vector<ShardId> target_shards;
   if (query.where != nullptr && ExtractTenant(*query.where, &tenant)) {
-    target_shards = routing_->RouteRead(tenant);
     out += "fan-out:    tenant " + std::to_string(tenant) + " -> " +
            std::to_string(target_shards.size()) +
            " shard(s), starting at shard " +
            std::to_string(target_shards.front()) + "\n";
   } else {
-    target_shards.resize(options_.num_shards);
-    for (uint32_t i = 0; i < options_.num_shards; ++i) target_shards[i] = i;
     out += "fan-out:    broadcast to all " +
            std::to_string(options_.num_shards) + " shards\n";
   }
@@ -219,6 +188,7 @@ Result<std::string> Esdb::ExplainSql(std::string_view sql) {
   std::unique_ptr<PlanNode> plan =
       PlanWhere(normalized.get(), options_.spec, options_.planner);
   CostDecision decision;
+  double estimated_rows = 0;
   bool costed = false;
   if (options_.planner.use_cost_model) {
     // Same stats the query itself would plan against: the pinned
@@ -230,6 +200,8 @@ Result<std::string> Esdb::ExplainSql(std::string_view sql) {
     }
     const StatsView stats = StatsView::Collect(snapshots);
     decision = ApplyCostTransforms(query, options_.spec, stats, &plan);
+    estimated_rows = EstimatePlanFraction(stats, options_.spec, *plan) *
+                     double(stats.total_docs());
     costed = true;
   }
   out += "plan:\n" + plan->ToString(1) + "\n";
@@ -241,7 +213,7 @@ Result<std::string> Esdb::ExplainSql(std::string_view sql) {
     ESDB_ASSIGN_OR_RETURN(QueryResult result,
                           ExecuteWithPlanner(query, options_.planner));
     out += "cardinality: est=" +
-           std::to_string(int64_t(decision.estimated_rows + 0.5)) +
+           std::to_string(int64_t(estimated_rows + 0.5)) +
            " actual=" + std::to_string(result.total_matched) +
            (result.total_matched_exact ? "" : "+") + "\n";
   }
@@ -319,43 +291,10 @@ Result<QueryResult> Esdb::ExecuteSqlWithPlanner(
 
 Result<QueryResult> Esdb::ExecuteWithPlanner(const Query& query,
                                              const PlannerOptions& planner) {
-  // Shard fan-out: tenant-scoped queries touch only the consecutive
-  // run the routing policy names; others broadcast.
-  std::vector<ShardId> target_shards;
-  TenantId tenant = 0;
-  if (query.where != nullptr && ExtractTenant(*query.where, &tenant)) {
-    target_shards = routing_->RouteRead(tenant);
-  } else {
-    target_shards.resize(options_.num_shards);
-    for (uint32_t i = 0; i < options_.num_shards; ++i) target_shards[i] = i;
-  }
+  const std::vector<ShardId> target_shards = RouteQuery(query, *routing_);
   if (tier_admission_ != nullptr) {
     for (ShardId s : target_shards) tier_admission_->RecordQuery(s);
   }
-  // Executor counters accumulate locally and publish under the stats
-  // mutex on every exit, keeping concurrent client queries race-free.
-  ExecStats exec_stats;
-  const auto publish_stats = [&] {
-    MutexLock lock(&stats_mu_);
-    last_subqueries_ = uint32_t(target_shards.size());
-    last_stats_ = exec_stats;
-  };
-
-  // Xdriver4ES pipeline + RBO, once per query (plans are shard-
-  // agnostic).
-  std::unique_ptr<Expr> normalized;
-  if (query.where != nullptr) {
-    normalized = NormalizeForPlanning(query.where->Clone());
-  }
-  std::unique_ptr<PlanNode> plan =
-      PlanWhere(normalized.get(), options_.spec, planner);
-
-  const size_t fan_out = target_shards.size();
-  FilterCache* cache = options_.use_filter_cache ? &filter_cache_ : nullptr;
-  // Engine choice is sampled once per query so a concurrent
-  // SetBatchExecution cannot split one query across engines.
-  ExecOptions exec_opts;
-  exec_opts.batch_execution = batch_execution();
 
   // Adaptive parallelism: a tenant-scoped query resolving to one or
   // two shards runs inline in the calling thread even when a pool is
@@ -364,122 +303,36 @@ Result<QueryResult> Esdb::ExecuteWithPlanner(const Query& query,
   // Broad fan-outs pin the subquery pool for the whole query:
   // SetQueryThreads swaps the pool through a mutex-guarded
   // shared_ptr, so a concurrent resize can never destroy the pool
-  // while our tasks are on it. Results are byte-identical either way
-  // (merge order is fixed by shard ordinal).
+  // while our tasks are on it.
   constexpr size_t kInlineFanOut = 2;
   std::shared_ptr<ThreadPool> pool;
-  if (fan_out > kInlineFanOut) {
+  if (target_shards.size() > kInlineFanOut) {
     MutexLock lock(&pool_mu_);
     pool = query_pool_;
   }
 
-  // Snapshots are taken serially up front (one lock-free epoch load
-  // per shard); the subqueries themselves run against these immutable
-  // segment epochs — serially, or as pool tasks when query_threads >
-  // 0 — and stay valid even if a concurrent RefreshAll publishes new
-  // epochs mid-query. Each task writes only its own ordinal's slots;
-  // merging happens afterwards in shard-ordinal order, so parallel
-  // results are byte-identical to serial ones.
-  std::vector<SegmentSnapshot> snapshots;
-  snapshots.reserve(fan_out);
-  for (ShardId shard : target_shards) {
-    snapshots.push_back(Primary(shard)->Snapshot());
-  }
+  CoordinatorInputs inputs;
+  inputs.spec = &options_.spec;
+  inputs.planner = &planner;
+  inputs.snapshot = [this](ShardId shard) {
+    return Primary(shard)->Snapshot();
+  };
+  inputs.two_phase = options_.two_phase_queries;
+  inputs.cache = options_.use_filter_cache ? &filter_cache_ : nullptr;
+  inputs.pool = pool.get();
+  // Engine choice is sampled once per query so a concurrent
+  // SetBatchExecution cannot split one query across engines.
+  inputs.exec.batch_execution = batch_execution();
 
-  // Cost-based transform pass (query/cost.h): rewrites the rule-based
-  // plan against the pinned snapshots' column sketches. Runs after the
-  // snapshots are taken so the statistics describe exactly the data
-  // the query will read.
-  if (planner.use_cost_model) {
-    const StatsView stats_view = StatsView::Collect(snapshots);
-    ApplyCostTransforms(query, options_.spec, stats_view, &plan);
-    ++exec_stats.plans_costed;
-  }
-
-  // Two-phase path for row queries: the coordinator merges row ids +
-  // sort keys and fetches raw documents only for the global winners.
-  if (options_.two_phase_queries && query.agg == AggFunc::kNone &&
-      query.group_by.empty()) {
-    std::vector<std::vector<RowRef>> shard_refs(fan_out);
-    std::vector<Status> statuses(fan_out, Status::OK());
-    std::vector<ExecStats> shard_stats(fan_out);
-    std::vector<uint64_t> shard_matched(fan_out, 0);
-    std::vector<uint8_t> shard_exact(fan_out, 1);
-    RunPerOrdinal(pool.get(), fan_out, [&](size_t ordinal) {
-      bool exact = true;
-      auto refs = ExecuteQueryPhase(query, *plan, *snapshots[ordinal],
-                                    uint32_t(ordinal), &shard_stats[ordinal],
-                                    &shard_matched[ordinal], &exact, cache,
-                                    target_shards[ordinal], exec_opts);
-      shard_exact[ordinal] = exact ? 1 : 0;
-      if (refs.ok()) {
-        shard_refs[ordinal] = std::move(*refs);
-      } else {
-        statuses[ordinal] = refs.status();
-      }
-    });
-    uint64_t total_matched = 0;
-    bool total_matched_exact = true;
-    size_t total_refs = 0;
-    for (size_t ordinal = 0; ordinal < fan_out; ++ordinal) {
-      if (!statuses[ordinal].ok()) {
-        publish_stats();
-        return statuses[ordinal];
-      }
-      exec_stats.Add(shard_stats[ordinal]);
-      total_matched += shard_matched[ordinal];
-      total_matched_exact = total_matched_exact && shard_exact[ordinal] != 0;
-      total_refs += shard_refs[ordinal].size();
-    }
-    std::vector<RowRef> all_refs;
-    all_refs.reserve(total_refs);
-    for (std::vector<RowRef>& refs : shard_refs) {
-      for (RowRef& ref : refs) all_refs.push_back(std::move(ref));
-    }
-    if (!query.order_by.empty()) SortRowRefs(query, &all_refs);
-    // Global offset + limit trim BEFORE any document is fetched.
-    if (query.offset > 0) {
-      const size_t skip = std::min(size_t(query.offset), all_refs.size());
-      all_refs.erase(all_refs.begin(), all_refs.begin() + long(skip));
-    }
-    if (query.limit >= 0 && int64_t(all_refs.size()) > query.limit) {
-      all_refs.resize(size_t(query.limit));
-    }
-    QueryResult result;
-    result.total_matched = total_matched;
-    result.total_matched_exact = total_matched_exact;
-    auto fetched =
-        ExecuteFetchPhase(query, snapshots, all_refs, &exec_stats, exec_opts);
-    publish_stats();
-    if (!fetched.ok()) return fetched.status();
-    result.rows = std::move(*fetched);
-    ProjectRows(query, &result.rows);
-    return result;
-  }
-
-  // Single-phase path (aggregates, group-bys, or two-phase disabled).
-  std::vector<QueryResult> shard_results(fan_out);
-  std::vector<Status> statuses(fan_out, Status::OK());
-  std::vector<ExecStats> shard_stats(fan_out);
-  RunPerOrdinal(pool.get(), fan_out, [&](size_t ordinal) {
-    auto r = ExecuteOnShard(query, *plan, *snapshots[ordinal],
-                            &shard_stats[ordinal], cache,
-                            target_shards[ordinal], exec_opts);
-    if (r.ok()) {
-      shard_results[ordinal] = std::move(*r);
-    } else {
-      statuses[ordinal] = r.status();
-    }
-  });
-  for (size_t ordinal = 0; ordinal < fan_out; ++ordinal) {
-    if (!statuses[ordinal].ok()) {
-      publish_stats();
-      return statuses[ordinal];
-    }
-    exec_stats.Add(shard_stats[ordinal]);
-  }
-  publish_stats();
-  return AggregateResults(query, std::move(shard_results));
+  // Executor counters accumulate locally and publish under the stats
+  // mutex on every exit, keeping concurrent client queries race-free.
+  ExecStats exec_stats;
+  Result<QueryResult> result =
+      CoordinateQuery(query, target_shards, inputs, &exec_stats);
+  MutexLock lock(&stats_mu_);
+  last_subqueries_ = uint32_t(target_shards.size());
+  last_stats_ = exec_stats;
+  return result;
 }
 
 size_t Esdb::RunBalanceCycle(Micros effective_time) {

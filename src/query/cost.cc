@@ -389,8 +389,6 @@ CostDecision ApplyCostTransforms(const Query& query, const IndexSpec& spec,
       decision.transform += "," + applied[i];
     }
   }
-  decision.estimated_rows =
-      EstimateFraction(stats, spec, **plan) * double(stats.total_docs());
   return decision;
 }
 

@@ -55,9 +55,6 @@ struct CostDecision {
   // Comma-joined names of the transforms that rewrote the plan
   // ("index-topk", "stats-only", "demote-filter"), or "none".
   std::string transform = "none";
-  // Estimated matching rows (pre-LIMIT) of the final plan; -1 when no
-  // estimate was possible.
-  double estimated_rows = -1.0;
 };
 
 // Statistics-driven transform pass over the rule-based physical plan
@@ -81,7 +78,7 @@ CostDecision ApplyCostTransforms(const Query& query, const IndexSpec& spec,
                                  std::unique_ptr<PlanNode>* plan);
 
 // Estimated fraction of docs matched by `plan` given `stats`; exposed
-// for tests and EXPLAIN (estimated_rows = fraction * total_docs).
+// for tests and EXPLAIN (estimated rows = fraction * total_docs).
 double EstimatePlanFraction(const StatsView& stats, const IndexSpec& spec,
                             const PlanNode& plan);
 

@@ -96,12 +96,16 @@ Result<PostingList> EvalIndexTopK(const PlanNode& plan, const SegmentView& view,
   int64_t matches = 0;
   std::string boundary;
   bool bounded = false;
+  bool stopped = false;
   const size_t visited = index->VisitRange(
       plan.key_range.lo, plan.key_range.hi, plan.topk_reverse,
       [&](std::string_view key, DocId id) {
         const std::string_view prefix =
             key.substr(0, ColumnPrefixEnd(key, ncols));
-        if (bounded && prefix != boundary) return false;
+        if (bounded && prefix != boundary) {
+          stopped = true;
+          return false;
+        }
         // Tombstone-aware early termination: deleted entries are
         // visited but never consume the cap.
         if (view.IsDeleted(id)) return true;
@@ -117,7 +121,9 @@ Result<PostingList> EvalIndexTopK(const PlanNode& plan, const SegmentView& view,
         return true;
       });
   stats->postings_considered += visited;
-  stats->rows_skipped_by_pushdown += range_total - visited;
+  // The entry the walk stopped on was read but never evaluated, so it
+  // counts as skipped: it may be a match that total_matched misses.
+  stats->rows_skipped_by_pushdown += range_total - visited + (stopped ? 1 : 0);
   std::sort(ids.begin(), ids.end());
   return PostingList(std::move(ids));
 }

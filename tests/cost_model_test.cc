@@ -99,6 +99,54 @@ TEST_F(CostModelTest, DescendingPushdownMatchesBaseline) {
   EXPECT_GT(costed_stats.rows_skipped_by_pushdown, 0u);
 }
 
+// The walk reads the entry it stops on without evaluating it. When
+// that entry is the segment's last live match, the count must still
+// come out exact or be flagged as a lower bound.
+TEST(CostModelPushdown, StopEntryOnLastMatchIsNotCounted) {
+  Esdb::Options options;
+  options.num_shards = 1;
+  options.routing = RoutingKind::kHash;
+  options.store.refresh_doc_count = 0;
+  Esdb db(std::move(options));
+  for (int64_t i = 0; i < 11; ++i) {
+    Document doc;
+    doc.Set(kFieldTenantId, Value(int64_t(1)));
+    doc.Set(kFieldRecordId, Value(i));
+    doc.Set(kFieldCreatedTime, Value(i));
+    ASSERT_TRUE(db.Insert(std::move(doc)).ok());
+  }
+  db.RefreshAll();
+  auto count = db.ExecuteSql("SELECT COUNT(*) FROM t WHERE tenant_id = 1");
+  ASSERT_TRUE(count.ok());
+  ASSERT_EQ(count->agg_count, 11u);
+
+  for (const char* dir : {"", " DESC"}) {
+    for (int64_t limit = 1; limit <= 12; ++limit) {
+      const std::string sql =
+          std::string("SELECT * FROM t WHERE tenant_id = 1 "
+                      "ORDER BY created_time") +
+          dir + " LIMIT " + std::to_string(limit);
+      SCOPED_TRACE(sql);
+      auto costed = db.ExecuteSql(sql);
+      ASSERT_TRUE(costed.ok());
+      const ExecStats stats = db.last_stats();
+      auto baseline = db.ExecuteSqlWithPlanner(sql, RulesOnly());
+      ASSERT_TRUE(baseline.ok());
+      ExpectSameRows(*costed, *baseline);
+      if (costed->total_matched_exact) {
+        EXPECT_EQ(costed->total_matched, count->agg_count);
+      } else {
+        EXPECT_LE(costed->total_matched, count->agg_count);
+      }
+      if (limit == 10) {
+        // The walk stops on the 11th entry, the last match.
+        EXPECT_EQ(stats.rows_skipped_by_pushdown, 1u);
+        EXPECT_FALSE(costed->total_matched_exact);
+      }
+    }
+  }
+}
+
 TEST_F(CostModelTest, StatsOnlyCountWholeTable) {
   auto costed = db_->ExecuteSql("SELECT COUNT(*) FROM t");
   ASSERT_TRUE(costed.ok());

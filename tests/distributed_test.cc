@@ -1,7 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <random>
+#include <string>
+
 #include "cluster/distributed.h"
 #include "common/random.h"
+#include "query_parity.h"
 
 namespace esdb {
 namespace {
@@ -173,6 +177,65 @@ TEST_F(DistributedTest, RebalanceDuringFailures) {
   db_->RefreshAll();
   EXPECT_EQ(Count("tenant_id = 1 AND status = 77"), 1u);
   EXPECT_EQ(Count("tenant_id = 1"), 120u);  // replaced, not duplicated
+}
+
+// The coordinator's two-phase cluster path must give exactly the
+// answer of the per-shard single-phase composition it replaced —
+// total_matched and its exact flag included — over tombstoned
+// segments, for every row and aggregate shape.
+TEST_F(DistributedTest, TwoPhaseMatchesPerShardComposition) {
+  for (int64_t record : {3, 17, 42, 101, 150}) {
+    WriteOp op;
+    op.type = OpType::kDelete;
+    op.doc = MakeLog(1 + record % 5, record, record);
+    ASSERT_TRUE(db_->Apply(op).ok());
+  }
+  db_->RefreshAll();
+  const DistributedEsdb::Options options = SmallCluster();
+  const RoutingPolicy& routing = *db_->dynamic_routing();
+  const auto check = [&](const std::string& sql) {
+    SCOPED_TRACE(sql);
+    auto facade = db_->ExecuteSql(sql);
+    ASSERT_TRUE(facade.ok()) << facade.status().ToString();
+    auto composed = ComposedClusterAnswer(*db_, options, routing, sql);
+    ASSERT_TRUE(composed.ok()) << composed.status().ToString();
+    ExpectIdentical(*facade, *composed, "facade vs composition");
+  };
+  for (const char* sql : {
+           // ORDER BY, tenant-scoped and broadcast.
+           "SELECT * FROM t WHERE tenant_id = 2 "
+           "ORDER BY created_time DESC LIMIT 10",
+           "SELECT * FROM t ORDER BY created_time DESC LIMIT 25",
+           "SELECT * FROM t WHERE status = 1 ORDER BY record_id LIMIT 7",
+           "SELECT * FROM t ORDER BY status, created_time DESC LIMIT 9",
+           // No ORDER BY: LIMIT stops each shard early.
+           "SELECT * FROM t WHERE tenant_id = 3 LIMIT 5",
+           "SELECT * FROM t LIMIT 12",
+           // OFFSET, sorted and unsorted, with a projection.
+           "SELECT * FROM t WHERE tenant_id = 1 "
+           "ORDER BY created_time LIMIT 5 OFFSET 3",
+           "SELECT * FROM t ORDER BY created_time DESC LIMIT 10 OFFSET 30",
+           "SELECT * FROM t WHERE tenant_id = 4 LIMIT 4 OFFSET 2",
+           "SELECT record_id, status FROM t WHERE tenant_id = 5 "
+           "ORDER BY created_time DESC LIMIT 3 OFFSET 1",
+           // Every match, no LIMIT.
+           "SELECT * FROM t WHERE tenant_id = 5",
+           // Aggregates and GROUP BY (single-phase).
+           "SELECT COUNT(*) FROM t WHERE tenant_id = 2",
+           "SELECT SUM(created_time) FROM t WHERE status = 1",
+           "SELECT MAX(created_time) FROM t",
+           "SELECT status, COUNT(*) FROM t GROUP BY status",
+       }) {
+    check(sql);
+  }
+  // The early-stop shape really stopped early.
+  auto early = db_->ExecuteSql("SELECT * FROM t LIMIT 12");
+  ASSERT_TRUE(early.ok());
+  EXPECT_FALSE(early->total_matched_exact);
+  EXPECT_EQ(early->rows.size(), 12u);
+
+  std::mt19937 rng(20261019);
+  for (int i = 0; i < 100; ++i) check(RandomQuery(rng));
 }
 
 // Property: a random storm of writes, refreshes, failures and joins
